@@ -2,7 +2,7 @@
 //! workspace's determinism and hot-path invariants.
 //!
 //! Every performance PR in this repository stakes its correctness on
-//! bit-identical results across scheduler policies, stepping modes and
+//! bit-identical results across scheduler policies, advance modes and
 //! worker counts — the property BlockHammer's blacklisting-threshold
 //! math (and therefore the paper's security argument) rests on. This
 //! crate mechanizes the rules that protect that property instead of
@@ -14,10 +14,11 @@
 //!   and scheduler hot paths) must not allocate;
 //! * **panic-freedom** — no `unwrap`/`expect`/`panic!` escape hatches
 //!   outside tests;
-//! * **thread-discipline** — threads are created only in `sim::pool`
-//!   and the campaign server's thread layer (`server::serve`);
+//! * **thread-discipline** — threads are created only in the worker pool
+//!   (`sim::pool::queue`) and the campaign server's thread layer
+//!   (`server::serve`);
 //! * **recovery-discipline** — `catch_unwind`/`resume_unwind` only at
-//!   the sanctioned isolation boundaries (`sim::pool`,
+//!   the sanctioned isolation boundaries (`sim::pool::queue`,
 //!   `campaign::executor`);
 //! * **hygiene** — no stray printing in library code, every crate opts
 //!   into the workspace lints.

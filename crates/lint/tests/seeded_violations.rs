@@ -185,9 +185,9 @@ fn thread_discipline_allows_serve_but_flags_the_rest_of_server() {
 #[test]
 fn both_disciplines_allow_the_stealing_queue_but_flag_its_siblings() {
     // The work-stealing pool lives in `src/pool/queue.rs` — a *nested*
-    // module whose path does not suffix-match `pool.rs`, so it is
-    // allowlisted by name. Its spawn + catch_unwind are clean; the same
-    // pair one module over (`src/subsystem.rs`) fires both rules.
+    // module allowlisted by its full suffix. Its spawn + catch_unwind are
+    // clean; the same pair in its parent module (`src/pool.rs`) and one
+    // module over (`src/subsystem.rs`) fires both rules.
     let fixture = Fixture::new(
         "stealing-queue",
         "sim",
@@ -195,7 +195,16 @@ fn both_disciplines_allow_the_stealing_queue_but_flag_its_siblings() {
     );
     let src = fixture.root.join("crates/sim/src");
     fs::create_dir_all(src.join("pool")).expect("create pool module dir");
-    fs::write(src.join("pool.rs"), "pub mod queue;\n").expect("write pool shim");
+    fs::write(
+        src.join("pool.rs"),
+        "pub mod queue;\n\
+         pub fn respawn() -> bool {\n\
+         \x20   std::thread::spawn(|| std::panic::catch_unwind(|| {}).is_ok())\n\
+         \x20       .join()\n\
+         \x20       .unwrap_or(false)\n\
+         }\n",
+    )
+    .expect("write pool shim");
     fs::write(
         src.join("pool/queue.rs"),
         "pub fn puller() -> bool {\n\
@@ -215,13 +224,19 @@ fn both_disciplines_allow_the_stealing_queue_but_flag_its_siblings() {
     )
     .expect("write subsystem fixture");
     let findings = fixture.findings();
-    assert_eq!(findings.len(), 2, "got: {findings:?}");
-    assert!(findings
-        .iter()
-        .all(|f| f.file == "crates/sim/src/subsystem.rs" && f.line == 2));
-    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-    assert!(rules.contains(&THREAD_DISCIPLINE));
-    assert!(rules.contains(&RECOVERY_DISCIPLINE));
+    assert_eq!(findings.len(), 4, "got: {findings:?}");
+    for (file, line) in [
+        ("crates/sim/src/pool.rs", 3),
+        ("crates/sim/src/subsystem.rs", 2),
+    ] {
+        let rules: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.file == file && f.line == line)
+            .map(|f| f.rule)
+            .collect();
+        assert!(rules.contains(&THREAD_DISCIPLINE), "{file}: {findings:?}");
+        assert!(rules.contains(&RECOVERY_DISCIPLINE), "{file}: {findings:?}");
+    }
     assert_ne!(fixture.binary_exit(), 0);
 }
 

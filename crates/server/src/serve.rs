@@ -33,7 +33,7 @@ use crate::queue::JobQueue;
 use crate::registry::{CampaignState, Phase, Registry};
 use crate::router;
 use campaign::checkpoint::{fingerprint, read_journal};
-use campaign::{wire, ExecutionOptions, FailurePolicy, SchedulerMode};
+use campaign::{wire, ExecutionOptions, FailurePolicy};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -71,16 +71,14 @@ pub struct ServerConfig {
     /// Campaign state root: one subdirectory per campaign id, holding
     /// `spec.json`, `campaign.journal`, and the result artifacts.
     pub data_dir: PathBuf,
-    /// Bounded submission-queue capacity (full → `503`).
+    /// Bounded submission-queue capacity (full → `503`); must be at
+    /// least 1.
     pub queue_capacity: usize,
     /// Simulation worker threads per campaign (`0` or `1` = in-line
     /// sequential execution; results are worker-count-invariant).
     pub workers: usize,
     /// Largest admissible campaign, in expanded runs.
     pub max_runs: usize,
-    /// How pooled execution schedules runs onto workers (results are
-    /// scheduler-invariant; this trades latency only).
-    pub scheduler: SchedulerMode,
 }
 
 impl Default for ServerConfig {
@@ -89,11 +87,11 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7878".to_owned(),
             data_dir: PathBuf::from("target/bh-serve"),
             queue_capacity: 8,
-            // Keep two hardware threads for the server's own loops
-            // (acceptor + executor); the rest simulate.
-            workers: sim::service_pool_size(2),
+            // Keep one more hardware thread than a batch campaign does
+            // for the server's own loops (acceptor + executor); the rest
+            // simulate.
+            workers: campaign::default_workers().saturating_sub(1),
             max_runs: 100_000,
-            scheduler: SchedulerMode::default(),
         }
     }
 }
@@ -140,10 +138,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates data-directory and socket failures. Recovery problems
-    /// with *individual* campaign directories are not fatal: they are
-    /// reported via [`Server::notes`] and the directory is skipped.
+    /// Fails with [`io::ErrorKind::InvalidInput`] when
+    /// `config.queue_capacity` is 0 (such a queue would refuse every
+    /// submission), and propagates data-directory and socket failures.
+    /// Recovery problems with *individual* campaign directories are not
+    /// fatal: they are reported via [`Server::notes`] and the directory
+    /// is skipped.
     pub fn start(config: ServerConfig) -> io::Result<Self> {
+        if config.queue_capacity == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "queue capacity must be at least 1",
+            ));
+        }
         std::fs::create_dir_all(&config.data_dir)?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -328,7 +335,6 @@ fn run_campaign(shared: &Shared, state: &Arc<CampaignState>) {
     let options = ExecutionOptions {
         policy: FailurePolicy::Quarantine,
         journal: Some(dir.join("campaign.journal")),
-        scheduler: shared.config.scheduler,
     };
     let runs = state.spec.expand();
     let result = campaign::execute_observed(

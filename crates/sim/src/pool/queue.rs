@@ -1,17 +1,14 @@
 //! A pull-based worker pool: one shared injector queue, completions in
 //! whatever order the work finishes.
 //!
-//! The slot-pinned [`WorkerPool`](super::WorkerPool) dispatches
-//! round-robin to fixed slots and the caller collects in its own fixed
-//! order, so one slow job head-of-line-blocks both its slot and the
-//! collection loop. This pool inverts the flow: the owner pushes
-//! `(sequence, item)` jobs into a shared queue, idle workers *pull* the
-//! next job the moment they finish their previous one, and every
-//! completion travels back over a single channel tagged with its
-//! sequence number and the worker that ran it. No worker ever idles
-//! while the queue is non-empty, and the owner reorders completions
-//! however it likes (the campaign executor runs them through a reorder
-//! buffer to restore run order bit-exactly).
+//! The owner pushes `(sequence, item)` jobs into a shared queue, idle
+//! workers *pull* the next job the moment they finish their previous
+//! one, and every completion travels back over a single channel tagged
+//! with its sequence number and the worker that ran it. No worker ever
+//! idles while the queue is non-empty, so one slow job blocks only the
+//! worker running it, and the owner reorders completions however it
+//! likes (the campaign executor runs them through a reorder buffer to
+//! restore run order bit-exactly).
 //!
 //! # Fault tolerance
 //!
@@ -19,20 +16,18 @@
 //! comes back as [`Outcome::Panicked`] carrying the rendered payload
 //! (the item moved into the attempt is dropped during the unwind, so
 //! the owner must keep its own copy if it wants to retry — the campaign
-//! executor does). This is the same isolation contract as the pinned
-//! pool's `collect_recovered`, minus the respawn: the thread that
-//! caught the panic simply pulls the next job.
+//! executor does). The thread that caught the panic simply pulls the
+//! next job.
 //!
 //! # Accounting
 //!
 //! Each worker keeps a [`WorkerTally`]: jobs completed, jobs *stolen*
-//! (a job whose sequence number would have landed on a different slot
-//! under round-robin pinning — the direct measure of how much work the
-//! shared queue moved off a blocked slot), and busy wall-clock. The
+//! (a job whose sequence number would have gone to a different worker
+//! under round-robin assignment — the direct measure of how much work
+//! the shared queue moved off a busy worker), and busy wall-clock. The
 //! tallies are shared atomics, so the owner can snapshot them any time
 //! without stopping the pool.
 
-use super::panic_message;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +36,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The shared work function (same shape as the pinned pool's, minus the
-/// per-dispatch context: pulled jobs carry everything in the item).
+/// The shared work function (pulled jobs carry everything in the item).
 type Work<T, R> = Arc<dyn Fn(&mut T) -> R + Send + Sync + 'static>;
 
 /// How one pulled job ended.
@@ -78,9 +72,9 @@ pub struct WorkerTally {
 pub struct WorkerSnapshot {
     /// Jobs this worker completed (including panicked attempts).
     pub jobs: u64,
-    /// Completed jobs whose sequence number was pinned to a *different*
-    /// slot under round-robin dispatch — work the shared queue moved
-    /// off a busy worker.
+    /// Completed jobs whose sequence number round-robin assignment would
+    /// have given a *different* worker — work the shared queue moved off
+    /// a busy worker.
     pub steals: u64,
     /// Wall-clock spent inside the work function.
     pub busy: Duration,
@@ -88,7 +82,7 @@ pub struct WorkerSnapshot {
 
 impl WorkerTally {
     /// A zeroed tally.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             jobs: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -98,7 +92,7 @@ impl WorkerTally {
 
     /// Records one completed job. `stolen` marks a job that round-robin
     /// pinning would have placed on another worker.
-    pub fn record(&self, stolen: bool, busy: Duration) {
+    fn record(&self, stolen: bool, busy: Duration) {
         self.jobs.fetch_add(1, Ordering::Relaxed);
         if stolen {
             self.steals.fetch_add(1, Ordering::Relaxed);
@@ -114,12 +108,6 @@ impl WorkerTally {
             steals: self.steals.load(Ordering::Relaxed),
             busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
         }
-    }
-}
-
-impl Default for WorkerTally {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -314,6 +302,18 @@ fn spawn_puller<T: Send + 'static, R: Send + 'static>(
         })
         // lint: allow(panic-freedom) -- thread-spawn failure at pool construction is unrecoverable infrastructure loss
         .expect("failed to spawn stealing pool worker thread")
+}
+
+/// Best-effort rendering of a panic payload (panics carry `&str` or
+/// `String` in practice).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_owned()
+    }
 }
 
 #[cfg(test)]

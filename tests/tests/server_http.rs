@@ -27,7 +27,6 @@ fn start(test: &str, queue_capacity: usize, max_runs: usize) -> Server {
         queue_capacity,
         workers: 2,
         max_runs,
-        scheduler: Default::default(),
     })
     .expect("server starts on an ephemeral port")
 }
@@ -216,6 +215,32 @@ fn full_queue_rejects_with_503_and_retry_after() {
     assert!(health.contains("\"executor_alive\":true"));
 
     server.stop();
+}
+
+#[test]
+fn a_zero_capacity_queue_is_refused_at_start() {
+    // A 0-slot queue would answer every POST with 503 for the life of
+    // the process, so the server must refuse to start with it.
+    let dir = data_dir("zero-queue");
+    let started = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        data_dir: dir.clone(),
+        queue_capacity: 0,
+        ..ServerConfig::default()
+    });
+    let error = match started {
+        Ok(server) => {
+            server.stop();
+            panic!("a server with queue capacity 0 started");
+        }
+        Err(error) => error,
+    };
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(error.to_string().contains("queue capacity"), "got: {error}");
+    assert!(
+        !dir.exists(),
+        "a refused start must not create its data dir"
+    );
 }
 
 #[test]
